@@ -38,8 +38,12 @@ go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...
 go run ./cmd/rtlint -plancheck
-go test -run='^$' -bench='^(BenchmarkNumericInference|BenchmarkEngineBuild|BenchmarkInferBatch)$' \
-  -benchmem -benchtime=1x . | go run ./cmd/benchjson -out BENCH_numeric.json
+{
+  go test -run='^$' -bench='^(BenchmarkNumericInference|BenchmarkEngineBuild|BenchmarkInferBatch)$' \
+    -benchmem -benchtime=1x .
+  go test -run='^$' -bench='^BenchmarkExecConvIntoDepthwise$' \
+    -benchmem -benchtime=1x ./internal/kernels
+} | go run ./cmd/benchjson -out BENCH_numeric.json
 # Serving soak, twice over the same 2x-overload tight-deadline mix: the
 # FIFO baseline, then the EDF + WCET-admission discipline whose smoke
 # additionally gates the deadline-miss rate (admission sheds hopeless

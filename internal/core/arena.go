@@ -7,15 +7,16 @@ import (
 )
 
 // tensorArena is a shape-keyed free list of activation buffers. Repeated
-// inference through an engine allocates the same ladder of intermediate
-// tensor shapes every time; recycling them removes nearly all steady-state
-// GC churn from Engine.Infer. Buffers come back from get with stale
-// contents — every consumer (ExecConvInto/ExecFCInto, the fake-quant
-// copy) overwrites every element.
+// inference allocates the same ladder of intermediate tensor shapes every
+// time; recycling them removes nearly all steady-state GC churn from
+// Engine.Infer. Buffers come back from get with stale contents — every
+// consumer (ExecConvInto/ExecFCInto, the fake-quant copy, the pooling,
+// softmax and flatten outputs of graph.EvalLayerInto) overwrites every
+// element.
 //
 // The arena is safe for concurrent use: get removes a buffer from the
-// free list before handing it out, so two inferences running on the same
-// engine never share a buffer.
+// free list before handing it out, so two inferences running at once
+// never share a buffer.
 type tensorArena struct {
 	mu   sync.Mutex
 	free map[[4]int][]*tensor.Tensor
@@ -29,15 +30,25 @@ func newTensorArena() *tensorArena {
 	return &tensorArena{free: map[[4]int][]*tensor.Tensor{}}
 }
 
+// actArena is the process's one activation arena, shared by every engine:
+// engines of the same or similar networks cycle through the same shapes,
+// so one free list capped per shape holds fewer idle buffers than one per
+// engine would.
+var actArena = newTensorArena()
+
+// arenaTensor is actArena.get as a plain function, the allocator the
+// reference-executed layers draw their outputs from (a method value would
+// allocate a closure per call).
+//
+//rt:hotpath
+func arenaTensor(n, c, h, w int) *tensor.Tensor { return actArena.get(n, c, h, w) }
+
 // get returns a buffer of the given shape, recycled if one is free.
 // Steady state hits the free list; the tensor.New calls are the warm-up
 // miss path.
 //
 //rt:hotpath
 func (a *tensorArena) get(n, c, h, w int) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(n, c, h, w)
-	}
 	k := [4]int{n, c, h, w}
 	a.mu.Lock()
 	if ts := a.free[k]; len(ts) > 0 {
@@ -56,7 +67,7 @@ func (a *tensorArena) get(n, c, h, w int) *tensor.Tensor {
 //
 //rt:hotpath
 func (a *tensorArena) put(t *tensor.Tensor) {
-	if a == nil || t == nil {
+	if t == nil {
 		return
 	}
 	k := [4]int{t.N, t.C, t.H, t.W}

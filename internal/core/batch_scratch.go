@@ -11,7 +11,7 @@ import (
 // walks, the keep set, and the per-layer input slice. Scratches are
 // pooled so steady-state batched inference performs no bookkeeping
 // allocation (the hotalloc analyzer verifies this statically; every
-// tensor buffer itself comes from the engine's arena). A scratch is
+// tensor buffer itself comes from the process arena). A scratch is
 // scrubbed of tensor references before it returns to the pool, so pooled
 // scratches never extend activation lifetimes.
 type batchScratch struct {

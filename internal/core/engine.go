@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -88,24 +87,6 @@ type Engine struct {
 	// Report is the per-pass build instrumentation (nil on engines
 	// loaded from plans written before the report existed).
 	Report *BuildReport
-
-	// arena recycles activation buffers across inferences (lazily
-	// created; not serialized — a loaded engine starts with an empty
-	// arena).
-	arena atomic.Pointer[tensorArena]
-}
-
-// bufArena returns the engine's activation arena, creating it on first
-// use. Safe under concurrent inference.
-func (e *Engine) bufArena() *tensorArena {
-	if a := e.arena.Load(); a != nil {
-		return a
-	}
-	a := newTensorArena()
-	if e.arena.CompareAndSwap(nil, a) {
-		return a
-	}
-	return e.arena.Load()
 }
 
 // WeightBytes returns the total engine-resident weight size in bytes.

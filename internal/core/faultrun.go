@@ -120,7 +120,6 @@ func (e *Engine) InferFaulty(x *tensor.Tensor, fi FaultInjector) ([]*tensor.Tens
 		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
 	}
 	g := e.Graph
-	ar := e.bufArena()
 	acts := make(map[string]*tensor.Tensor, len(g.Layers))
 	// Every non-input activation is recycled through the arena once the
 	// inference ends — except the graph outputs (the caller owns those)
@@ -132,7 +131,7 @@ func (e *Engine) InferFaulty(x *tensor.Tensor, fi FaultInjector) ([]*tensor.Tens
 		for _, name := range g.Outputs {
 			keep[acts[name]] = true
 		}
-		ar.releaseActs(owned, keep)
+		actArena.releaseActs(owned, keep)
 	}()
 	for i, l := range g.Layers {
 		if fi != nil && l.Op != graph.OpInput {
@@ -146,15 +145,15 @@ func (e *Engine) InferFaulty(x *tensor.Tensor, fi FaultInjector) ([]*tensor.Tens
 		case l.Op == graph.OpInput:
 			y = x
 		case l.Op == graph.OpConv:
-			y, err = e.inferConv(l, acts, fi, ar)
+			y, err = e.inferConv(l, acts, fi)
 		case l.Op == graph.OpFC:
-			y, err = e.inferFC(l, acts, fi, ar)
+			y, err = e.inferFC(l, acts, fi)
 		default:
 			ins := make([]*tensor.Tensor, len(l.Inputs))
 			for i, name := range l.Inputs {
 				ins[i] = acts[name]
 			}
-			y, err = graph.EvalLayer(l, ins)
+			y, err = graph.EvalLayerInto(l, ins, arenaTensor)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)

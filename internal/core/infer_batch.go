@@ -81,7 +81,6 @@ func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard la
 	if outNames == nil {
 		outNames = g.Outputs
 	}
-	ar := e.bufArena()
 	bs := batchScratchPool.Get().(*batchScratch)
 	acts := bs.actMaps(len(xs))
 	owned := bs.ownedBuf()
@@ -95,7 +94,7 @@ func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard la
 				keep[am[name]] = true
 			}
 		}
-		ar.releaseActs(owned, keep)
+		actArena.releaseActs(owned, keep)
 		bs.release(owned)
 	}()
 	if from > 0 {
@@ -139,15 +138,15 @@ func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard la
 			case l.Op == graph.OpInput:
 				y = x
 			case isConv:
-				y, err = e.convApply(l, acts[img], w, b, ar)
+				y, err = e.convApply(l, acts[img], w, b)
 			case isFC:
-				y, err = e.fcApply(l, acts[img], w, b, ar)
+				y, err = e.fcApply(l, acts[img], w, b)
 			default:
 				ins := bs.inputs(len(l.Inputs))
 				for i, name := range l.Inputs {
 					ins[i] = acts[img][name]
 				}
-				y, err = graph.EvalLayer(l, ins)
+				y, err = graph.EvalLayerInto(l, ins, arenaTensor)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)

@@ -159,7 +159,7 @@ func (e *Engine) Infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
 // inferConv executes a conv layer for one image, drawing weight
 // corruption from the injector. The batch path corrupts once per layer
 // and calls convApply directly.
-func (e *Engine) inferConv(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector, ar *tensorArena) (*tensor.Tensor, error) {
+func (e *Engine) inferConv(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector) (*tensor.Tensor, error) {
 	w, b := l.Weights["w"], l.Weights["b"]
 	if w == nil {
 		return nil, fmt.Errorf("conv %s has no weights", l.Name)
@@ -167,15 +167,15 @@ func (e *Engine) inferConv(l *graph.Layer, acts map[string]*tensor.Tensor, fi Fa
 	if fi != nil {
 		w = fi.CorruptWeights(l.Name, "w", w)
 	}
-	return e.convApply(l, acts, w, b, ar)
+	return e.convApply(l, acts, w, b)
 }
 
 // convApply runs a conv layer with already-resolved (possibly corrupted)
 // weights. The output and the INT8 fake-quant copy come from the arena;
 // the quant copy goes back as soon as the kernel has consumed it.
-func (e *Engine) convApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor, ar *tensorArena) (*tensor.Tensor, error) {
+func (e *Engine) convApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor) (*tensor.Tensor, error) {
 	src := acts[l.Inputs[0]]
-	in := e.quantInput(l.Inputs[0], acts, ar)
+	in := e.quantInput(l.Inputs[0], acts)
 	v, ok := e.Choices[l.Name]
 	if !ok {
 		v = kernels.UnoptimizedConv()
@@ -188,9 +188,9 @@ func (e *Engine) convApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b 
 	var y *tensor.Tensor
 	var err error
 	if oh, ow, ok := convOutShape(in, l.Conv); ok {
-		y = ar.get(in.N, l.Conv.OutC, oh, ow)
+		y = actArena.get(in.N, l.Conv.OutC, oh, ow)
 		if err = kernels.ExecConvInto(execV, in, w, b, l.Conv, y); err != nil {
-			ar.put(y)
+			actArena.put(y)
 			y = nil
 		}
 	} else {
@@ -199,14 +199,14 @@ func (e *Engine) convApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b 
 		y, err = kernels.ExecConv(execV, in, w, b, l.Conv)
 	}
 	if in != src {
-		ar.put(in)
+		actArena.put(in)
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := applyEpilogue(y, f)
 	if out != y {
-		ar.put(y)
+		actArena.put(y)
 	}
 	return out, nil
 }
@@ -223,7 +223,7 @@ func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) 
 }
 
 // inferFC executes an FC layer for one image; see inferConv.
-func (e *Engine) inferFC(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector, ar *tensorArena) (*tensor.Tensor, error) {
+func (e *Engine) inferFC(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector) (*tensor.Tensor, error) {
 	w, b := l.Weights["w"], l.Weights["b"]
 	if w == nil {
 		return nil, fmt.Errorf("fc %s has no weights", l.Name)
@@ -231,13 +231,13 @@ func (e *Engine) inferFC(l *graph.Layer, acts map[string]*tensor.Tensor, fi Faul
 	if fi != nil {
 		w = fi.CorruptWeights(l.Name, "w", w)
 	}
-	return e.fcApply(l, acts, w, b, ar)
+	return e.fcApply(l, acts, w, b)
 }
 
 // fcApply runs an FC layer with already-resolved weights; see convApply.
-func (e *Engine) fcApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor, ar *tensorArena) (*tensor.Tensor, error) {
+func (e *Engine) fcApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor) (*tensor.Tensor, error) {
 	src := acts[l.Inputs[0]]
-	in := e.quantInput(l.Inputs[0], acts, ar)
+	in := e.quantInput(l.Inputs[0], acts)
 	v, ok := e.Choices[l.Name]
 	if !ok {
 		v = kernels.Variant{Family: kernels.FamGEMM, TileM: 128, TileN: 64, TileK: 32, Precision: tensor.FP32}
@@ -248,23 +248,23 @@ func (e *Engine) fcApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *t
 	var y *tensor.Tensor
 	var err error
 	if in != nil && l.OutUnits >= 1 {
-		y = ar.get(in.N, l.OutUnits, 1, 1)
+		y = actArena.get(in.N, l.OutUnits, 1, 1)
 		if err = kernels.ExecFCInto(execV, in, w, b, l.OutUnits, y); err != nil {
-			ar.put(y)
+			actArena.put(y)
 			y = nil
 		}
 	} else {
 		y, err = kernels.ExecFC(execV, in, w, b, l.OutUnits)
 	}
 	if in != src {
-		ar.put(in)
+		actArena.put(in)
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := applyEpilogue(y, f)
 	if out != y {
-		ar.put(y)
+		actArena.put(y)
 	}
 	return out, nil
 }
@@ -273,7 +273,7 @@ func (e *Engine) fcApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *t
 // activation using the calibrated range of its producer layer. The
 // quantized copy is drawn from the arena (every element is overwritten);
 // the caller releases it once the kernel has consumed it.
-func (e *Engine) quantInput(producer string, acts map[string]*tensor.Tensor, ar *tensorArena) *tensor.Tensor {
+func (e *Engine) quantInput(producer string, acts map[string]*tensor.Tensor) *tensor.Tensor {
 	in := acts[producer]
 	if e.Precision != tensor.INT8 || e.Int8Ranges == nil || in == nil {
 		return in
@@ -283,7 +283,7 @@ func (e *Engine) quantInput(producer string, acts map[string]*tensor.Tensor, ar 
 		return in
 	}
 	scale := rangeMax / 127
-	out := ar.get(in.N, in.C, in.H, in.W)
+	out := actArena.get(in.N, in.C, in.H, in.W)
 	for i, v := range in.Data {
 		out.Data[i] = tensor.DequantizeINT8(tensor.QuantizeINT8(v, scale), scale)
 	}

@@ -40,9 +40,15 @@ const templateCorrelation = 0.94
 func Templates(seed string, classes int) []*tensor.Tensor {
 	ts := make([]*tensor.Tensor, classes)
 	for c := 0; c < classes; c++ {
-		ts[c] = template(fmt.Sprintf("%s/class%d", seed, c), seed+"/base")
+		ts[c] = classTemplate(seed, c)
 	}
 	return ts
+}
+
+// classTemplate is Templates(seed, ...)[c] on its own: each class's
+// pattern depends only on its own key and the shared base key.
+func classTemplate(seed string, c int) *tensor.Tensor {
+	return template(fmt.Sprintf("%s/class%d", seed, c), seed+"/base")
 }
 
 // template builds one smooth pattern: a 4x4 random grid per channel
@@ -152,19 +158,35 @@ func DefaultBenign(perClass int) BenignConfig {
 }
 
 // Benign synthesizes the benign dataset: per-class template plus i.i.d.
-// Gaussian observation noise.
+// Gaussian observation noise, PerClass samples of each class in class
+// order. Sample k is bit-identical to BenignSample(cfg, k).
 func Benign(cfg BenignConfig) []Sample {
 	tpl := Templates(cfg.Seed, cfg.Classes)
-	var out []Sample
-	for c := 0; c < cfg.Classes; c++ {
-		for i := 0; i < cfg.PerClass; i++ {
-			src := fixrand.NewKeyed(fmt.Sprintf("%s/benign/c%d/i%d", cfg.Seed, c, i))
-			img := tpl[c].Clone()
-			for k := range img.Data {
-				img.Data[k] += float32(cfg.NoiseSigma * src.NormFloat64())
-			}
-			out = append(out, Sample{Image: img, Label: c})
-		}
+	out := make([]Sample, 0, cfg.Classes*cfg.PerClass)
+	for k := 0; k < cfg.Classes*cfg.PerClass; k++ {
+		out = append(out, benignSample(cfg, k, tpl[k/cfg.PerClass].Clone()))
 	}
 	return out
+}
+
+// BenignSample synthesizes only sample k of Benign(cfg), bit for bit,
+// for 0 <= k < Classes*PerClass. It builds just that sample's class
+// template, so it serves a single image without the whole set resident.
+func BenignSample(cfg BenignConfig, k int) Sample {
+	if k < 0 || k >= cfg.Classes*cfg.PerClass {
+		panic(fmt.Sprintf("dataset: benign sample %d out of range [0, %d)", k, cfg.Classes*cfg.PerClass)) //rtlint:allow panicpath -- caller-contract bug: netserve reduces request indices modulo the set size
+	}
+	return benignSample(cfg, k, classTemplate(cfg.Seed, k/cfg.PerClass))
+}
+
+// benignSample adds sample k's observation noise to img, its class
+// template (which it takes ownership of) — the one synthesis path of
+// Benign and BenignSample.
+func benignSample(cfg BenignConfig, k int, img *tensor.Tensor) Sample {
+	c, i := k/cfg.PerClass, k%cfg.PerClass
+	src := fixrand.NewKeyed(fmt.Sprintf("%s/benign/c%d/i%d", cfg.Seed, c, i))
+	for j := range img.Data {
+		img.Data[j] += float32(cfg.NoiseSigma * src.NormFloat64())
+	}
+	return Sample{Image: img, Label: c}
 }

@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +211,80 @@ func TestCorruptShapeProperty(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// benignDigest is FNV-64a over each sample's label and image bits, in
+// order, as little-endian uint32s.
+func benignDigest(set []Sample) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, s := range set {
+		binary.LittleEndian.PutUint32(b[:], uint32(s.Label))
+		h.Write(b[:])
+		for _, v := range s.Image.Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBenignSampleMatchesBenign pins BenignSample(cfg, k) to
+// Benign(cfg)[k] bit for bit over every k, with one and with several
+// samples per class, and pins both sets to the bits Benign produced
+// when it synthesized every template up front (the digests netserve's
+// index inputs and the experiments were recorded with).
+func TestBenignSampleMatchesBenign(t *testing.T) {
+	for _, tc := range []struct {
+		perClass int
+		digest   uint64
+	}{{1, 0xb0bcc708d47bd33c}, {3, 0x7bec3b37e1feff82}} {
+		cfg := DefaultBenign(tc.perClass)
+		set := Benign(cfg)
+		if got := benignDigest(set); got != tc.digest {
+			t.Fatalf("perClass=%d: Benign digest %016x, want %016x", tc.perClass, got, tc.digest)
+		}
+		if len(set) != cfg.Classes*cfg.PerClass {
+			t.Fatalf("perClass=%d: %d samples, want %d", tc.perClass, len(set), cfg.Classes*cfg.PerClass)
+		}
+		for k, want := range set {
+			got := BenignSample(cfg, k)
+			if got.Label != want.Label {
+				t.Fatalf("perClass=%d sample %d: label %d, want %d", tc.perClass, k, got.Label, want.Label)
+			}
+			for i, v := range want.Image.Data {
+				if math.Float32bits(got.Image.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("perClass=%d sample %d: element %d differs", tc.perClass, k, i)
+				}
+			}
+		}
+	}
+}
+
+func TestBenignSampleRejectsOutOfRange(t *testing.T) {
+	cfg := DefaultBenign(1)
+	for _, k := range []int{-1, cfg.Classes * cfg.PerClass} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BenignSample(%d) did not panic", k)
+				}
+			}()
+			BenignSample(cfg, k)
+		}()
+	}
+}
+
+// benignSink keeps BenchmarkBenignSample's result live.
+var benignSink Sample
+
+// BenchmarkBenignSample is the host cost netserve pays per index-form
+// request to synthesize its input on demand.
+func BenchmarkBenignSample(b *testing.B) {
+	cfg := DefaultBenign(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benignSink = BenignSample(cfg, i%(cfg.Classes*cfg.PerClass))
 	}
 }

@@ -50,16 +50,27 @@ func (g *Graph) Execute(x *tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 // EvalLayer evaluates a single layer on the given input tensors with the
-// reference operators. It is exported so that the engine runtime can fall
-// back to reference math for ops without specialized kernels.
+// reference operators, each output freshly allocated. It is
+// EvalLayerInto drawing from tensor.New.
+func EvalLayer(l *Layer, ins []*tensor.Tensor) (*tensor.Tensor, error) {
+	return EvalLayerInto(l, ins, tensor.New)
+}
+
+// EvalLayerInto evaluates a single layer on the given input tensors with
+// the reference operators. It is exported so that the engine runtime can
+// fall back to reference math for ops without specialized kernels.
+// Pooling, softmax, concat and flatten write their output into a buffer
+// from alloc, which may hand back a recycled buffer with stale contents:
+// those operators overwrite every element. The other operators allocate
+// their own output, and pass-through ops return an input.
 //
 // The reference operators in internal/tensor panic on malformed
 // shapes/parameters — appropriate for model-construction bugs, but this
 // entry point is also reachable from deserialized (untrusted) engine
-// plans via Engine.Infer, so EvalLayer validates the hostile cases up
+// plans via Engine.Infer, so EvalLayerInto validates the hostile cases up
 // front and converts any residual operator panic into an error: a
 // corrupted engine must degrade, not crash the process.
-func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
+func EvalLayerInto(l *Layer, ins []*tensor.Tensor, alloc func(n, c, h, w int) *tensor.Tensor) (y *tensor.Tensor, err error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("layer has no inputs")
 	}
@@ -84,10 +95,15 @@ func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
 			return nil, err
 		}
 		return tensor.Conv2D(in, w, b, l.Conv), nil
-	case OpMaxPool:
-		return tensor.MaxPool2D(in, l.Pool), nil
-	case OpAvgPool:
-		return tensor.AvgPool2D(in, l.Pool), nil
+	case OpMaxPool, OpAvgPool:
+		p := l.Pool
+		y = alloc(in.N, in.C, tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad), tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad))
+		if l.Op == OpMaxPool {
+			tensor.MaxPool2DInto(in, p, y)
+		} else {
+			tensor.AvgPool2DInto(in, p, y)
+		}
+		return y, nil
 	case OpGlobalAvgPool:
 		return tensor.GlobalAvgPool2D(in), nil
 	case OpReLU:
@@ -121,7 +137,9 @@ func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
 	case OpLRN:
 		return tensor.LRN(in, l.LRNSize, l.Alpha, l.LRNBeta, l.LRNK), nil
 	case OpSoftmax:
-		return tensor.Softmax(in), nil
+		y = alloc(in.N, in.C, in.H, in.W)
+		tensor.SoftmaxInto(in, y)
+		return y, nil
 	case OpAdd:
 		y := ins[0]
 		for _, t := range ins[1:] {
@@ -132,7 +150,9 @@ func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
 		}
 		return y, nil
 	case OpConcat:
-		return tensor.Concat(ins...), nil
+		y = alloc(tensor.ConcatShape(ins...))
+		tensor.ConcatInto(y, ins...)
+		return y, nil
 	case OpUpsample:
 		return tensor.Upsample2x(in), nil
 	case OpDropout:
@@ -158,8 +178,8 @@ func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
 		}
 		return y, nil
 	case OpFlatten:
-		y := in.Clone()
-		y.C, y.H, y.W = in.C*in.H*in.W, 1, 1
+		y = alloc(in.N, in.C*in.H*in.W, 1, 1)
+		copy(y.Data, in.Data)
 		return y, nil
 	default:
 		return nil, fmt.Errorf("EvalLayer: unsupported op %v", l.Op)

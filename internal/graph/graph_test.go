@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -297,6 +298,59 @@ func TestDropoutIsIdentityAtInference(t *testing.T) {
 	for _, v := range outs[0].Data {
 		if v != 3 {
 			t.Fatal("dropout altered values at inference")
+		}
+	}
+}
+
+// TestEvalLayerIntoOverwritesStaleBuffers pins the contract the engine
+// arena relies on: every op that draws its output from alloc writes
+// every element of a recycled, NaN-filled buffer, and the result equals
+// EvalLayer's freshly allocated one bit for bit.
+func TestEvalLayerIntoOverwritesStaleBuffers(t *testing.T) {
+	src := fixrand.NewKeyed("eval-into")
+	rnd := func(n, c, h, w int) *tensor.Tensor {
+		x := tensor.New(n, c, h, w)
+		for i := range x.Data {
+			x.Data[i] = float32(src.NormFloat64())
+		}
+		return x
+	}
+	a, b := rnd(2, 3, 5, 5), rnd(2, 2, 5, 5)
+	cases := []struct {
+		l   *Layer
+		ins []*tensor.Tensor
+	}{
+		{&Layer{Name: "max", Op: OpMaxPool, Pool: tensor.PoolParams{Kernel: 2, Stride: 2, Pad: 1}}, []*tensor.Tensor{a}},
+		{&Layer{Name: "avg", Op: OpAvgPool, Pool: tensor.PoolParams{Kernel: 1, Stride: 2, Pad: 1}}, []*tensor.Tensor{a}},
+		{&Layer{Name: "prob", Op: OpSoftmax}, []*tensor.Tensor{a}},
+		{&Layer{Name: "cat", Op: OpConcat}, []*tensor.Tensor{a, b}},
+		{&Layer{Name: "flat", Op: OpFlatten}, []*tensor.Tensor{a}},
+	}
+	for _, tc := range cases {
+		want, err := EvalLayer(tc.l, tc.ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handed *tensor.Tensor
+		stale := func(n, c, h, w int) *tensor.Tensor {
+			handed = tensor.New(n, c, h, w)
+			handed.Fill(float32(math.NaN()))
+			return handed
+		}
+		got, err := EvalLayerInto(tc.l, tc.ins, stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != handed {
+			t.Fatalf("%s: output not drawn from alloc", tc.l.Name)
+		}
+		if got.Shape() != want.Shape() {
+			t.Fatalf("%s: shape %v, want %v", tc.l.Name, got.Shape(), want.Shape())
+		}
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d = %v, want %v", tc.l.Name, i, got.Data[i], v)
+			}
 		}
 	}
 }

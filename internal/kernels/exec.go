@@ -135,11 +135,13 @@ type convExec struct {
 
 var convExecPool = sync.Pool{New: func() any { return new(convExec) }}
 
-// execConv partitions the output by (batch, output row) across the
-// worker pool. Each row task computes every output channel of that row,
-// so the im2col patch gathered for one output pixel is reused across all
-// channels of its group. The descriptor is pooled: dispatching a conv
-// allocates nothing in the steady state.
+// execConv partitions the output across the worker pool. A depthwise
+// conv (one input channel per group) is split by (batch, output channel,
+// output row) and takes the direct kernel; every other conv is split by
+// (batch, output row), and each row task computes every output channel
+// of that row so the im2col patch gathered for one output pixel is
+// reused across all channels of its group. The descriptor is pooled:
+// dispatching a conv allocates nothing in the steady state.
 func execConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor, oh, ow, groups, icg int) {
 	c := convExecPool.Get().(*convExec)
 	*c = convExec{
@@ -148,21 +150,101 @@ func execConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.
 		ocg: p.OutC / groups, kk: p.Kernel * p.Kernel,
 		tileC: v.tileChannels(p.Kernel),
 	}
-	rows := x.N * oh
-	rowMACs := ow * p.OutC * icg * c.kk
-	parallelFor(rows, grainFor(rowMACs), c)
+	if icg == 1 {
+		parallelFor(x.N*p.OutC*oh, grainFor(ow*c.kk), c)
+	} else {
+		parallelFor(x.N*oh, grainFor(ow*p.OutC*icg*c.kk), c)
+	}
 	*c = convExec{} // drop tensor references before pooling
 	convExecPool.Put(c)
 }
 
-// chunk implements chunkBody over (batch, output row) units. Annotated
-// directly because hotalloc does not traverse the chunkBody interface
-// dispatch inside parallelFor.
+// chunk implements chunkBody over (batch, output channel, output row)
+// units for depthwise convs and (batch, output row) units otherwise.
+// Annotated directly because hotalloc does not traverse the chunkBody
+// interface dispatch inside parallelFor.
 //
 //rt:hotpath
 func (c *convExec) chunk(s *execScratch, lo, hi int) {
 	for r := lo; r < hi; r++ {
-		c.row(s, r/c.oh, r%c.oh)
+		if c.icg == 1 {
+			c.depthwiseRow(r/c.oh, r%c.oh)
+		} else {
+			c.row(s, r/c.oh, r%c.oh)
+		}
+	}
+}
+
+// window returns the in-bounds kernel taps [lo, hi) of a window that
+// starts at input coordinate o0 over an input of size n. A window with
+// no in-bounds tap (padding wider than the kernel) is [0, 0).
+func window(o0, k, n int) (lo, hi int) {
+	lo, hi = 0, k
+	if o0 < 0 {
+		lo = -o0
+	}
+	if o0+k > n {
+		hi = n - o0
+	}
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// rowTaps returns the kernel-row range to reduce over for an output whose
+// column window is [kwLo, kwHi): the row window [khLo, khHi), or an
+// empty range when no column is in bounds, so no input row is sliced.
+func rowTaps(khLo, khHi, kwLo, kwHi int) (lo, hi int) {
+	if kwLo == kwHi {
+		return 0, 0
+	}
+	return khLo, khHi
+}
+
+// depthwiseRow computes one output row of one channel of a depthwise
+// conv; nc indexes (batch, output channel) as n*OutC+oc. With one input
+// channel per group the reduction is a single tile (tileC >= 1), so each
+// output is one in-bounds-tap dot product, rounded where dotTile rounds
+// a tile partial, then where combine folds a lone partial, then by
+// store. Taps are accumulated in (kh, kw) order as w*x, exactly like
+// reduceEdge and the patch path; out-of-bounds taps are skipped, never
+// multiplied by a zero pad, so Inf and NaN weights on border taps cannot
+// leak into edge pixels.
+func (c *convExec) depthwiseRow(nc, i int) {
+	v, k, stride, pad := c.v, c.p.Kernel, c.p.Stride, c.p.Pad
+	h, w := c.x.H, c.x.W
+	n, oc := nc/c.p.OutC, nc%c.p.OutC
+	ic := oc / c.ocg
+	ih0 := i*stride - pad
+	khLo, khHi := window(ih0, k, h)
+	plane := c.x.Data[(n*c.x.C+ic)*h*w : (n*c.x.C+ic+1)*h*w]
+	wk := c.w.Data[oc*c.kk : (oc+1)*c.kk]
+	var bias float32
+	if c.b != nil {
+		bias = c.b.Data[oc]
+	}
+	yrow := c.y.Data[((n*c.y.C+oc)*c.oh+i)*c.ow : ((n*c.y.C+oc)*c.oh+i+1)*c.ow]
+	for j := range yrow {
+		iw0 := j*stride - pad
+		kwLo, kwHi := window(iw0, k, w)
+		rowLo, rowHi := rowTaps(khLo, khHi, kwLo, kwHi)
+		var acc float32
+		for kh := rowLo; kh < rowHi; kh++ {
+			xoff := (ih0+kh)*w + iw0
+			xrow := plane[xoff+kwLo : xoff+kwHi]
+			wrow := wk[kh*k+kwLo : kh*k+kwHi]
+			for t, xv := range xrow {
+				acc += wrow[t] * xv
+			}
+		}
+		var folded float32 // combine's accumulator over the one partial
+		val := v.roundTo(folded + v.roundTo(acc))
+		val = v.roundTo(val + bias)
+		if v.FusedAct && val < 0 {
+			val = 0
+		}
+		yrow[j] = val
 	}
 }
 
@@ -170,22 +252,11 @@ func (c *convExec) chunk(s *execScratch, lo, hi int) {
 func (c *convExec) row(s *execScratch, n, i int) {
 	k, stride, pad := c.p.Kernel, c.p.Stride, c.p.Pad
 	ih0 := i*stride - pad
-	khLo, khHi := 0, k
-	if ih0 < 0 {
-		khLo = -ih0
-	}
-	if ih0+k > c.x.H {
-		khHi = c.x.H - ih0
-	}
+	khLo, khHi := window(ih0, k, c.x.H)
 	for j := 0; j < c.ow; j++ {
 		iw0 := j*stride - pad
-		kwLo, kwHi := 0, k
-		if iw0 < 0 {
-			kwLo = -iw0
-		}
-		if iw0+k > c.x.W {
-			kwHi = c.x.W - iw0
-		}
+		kwLo, kwHi := window(iw0, k, c.x.W)
+		rowLo, rowHi := rowTaps(khLo, khHi, kwLo, kwHi)
 		interior := khLo == 0 && khHi == k && kwLo == 0 && kwHi == k
 		for g := 0; g < c.groups; g++ {
 			oc0 := g * c.ocg
@@ -202,7 +273,7 @@ func (c *convExec) row(s *execScratch, n, i int) {
 				}
 			} else {
 				for oc := oc0; oc < oc0+c.ocg; oc++ {
-					c.store(n, oc, i, j, c.reduceEdge(s, n, oc, g, ih0, iw0, khLo, khHi, kwLo, kwHi))
+					c.store(n, oc, i, j, c.reduceEdge(s, n, oc, g, ih0, iw0, rowLo, rowHi, kwLo, kwHi))
 				}
 			}
 		}

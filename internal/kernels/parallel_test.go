@@ -178,6 +178,16 @@ var convShapes = []convShape{
 	{"depthwise", 1, 24, 10, 10, 24, 3, 1, 1, 24},
 	{"deep", 1, 64, 4, 4, 48, 3, 1, 1, 1},
 	{"tall-window", 1, 4, 3, 9, 4, 3, 1, 1, 1},
+	{"pad-over-kernel", 1, 4, 4, 4, 3, 2, 1, 3, 1},
+	// Depthwise rows (one input channel per group) run the direct kernel.
+	{"dw-mult2", 1, 8, 10, 10, 16, 3, 1, 1, 8},
+	{"dw-stride2", 1, 6, 11, 11, 6, 3, 2, 1, 6},
+	{"dw-k5-pad2", 1, 5, 9, 9, 5, 5, 1, 2, 5},
+	{"dw-nopad", 1, 6, 8, 8, 6, 3, 1, 0, 6},
+	{"dw-batch2", 2, 4, 7, 7, 4, 3, 1, 1, 4},
+	{"dw-wide-window", 1, 3, 3, 4, 3, 5, 1, 2, 3},
+	{"dw-pad-over-kernel", 1, 2, 4, 4, 2, 2, 1, 3, 2},
+	{"single-channel", 1, 1, 9, 9, 5, 3, 1, 1, 1},
 }
 
 // TestParallelConvBitIdentical is the conv half of the issue's
@@ -204,6 +214,62 @@ func TestParallelConvBitIdentical(t *testing.T) {
 				got := mustExecConv(t, v, x, w, b, p)
 				sameBits(t, fmt.Sprintf("%s %+v workers=%d", cs.name, v, workers), got, want)
 			}
+		}
+	}
+}
+
+// TestDepthwiseSkipsOutOfBoundsTaps pins that the depthwise kernel skips
+// out-of-bounds taps instead of multiplying them by a zero pad: ±Inf and
+// NaN sit in the corner weight taps, and +Inf/-Inf on the border pixels.
+// A zero-padded kernel would turn Inf·0 into NaN on edge outputs whose
+// in-bounds taps are all finite; the serial reference, which skips those
+// taps, keeps them finite.
+func TestDepthwiseSkipsOutOfBoundsTaps(t *testing.T) {
+	const c, hw = 4, 6
+	inf := float32(math.Inf(1))
+	x := randTensor("dw-inf-x", 1, c, hw, hw)
+	w := randTensor("dw-inf-w", c, 1, 3, 3)
+	// Channel 0: non-finite weights in three corners (the bottom-right
+	// tap stays finite) over a finite image.
+	// Channel 1: finite weights over an image with an Inf border.
+	// Channels 2-3: non-finite corners over a -Inf or +Inf border.
+	nan := float32(math.NaN())
+	corners := []int{0, 2, 6, 8}
+	for ch, vals := range map[int][]float32{
+		0: {inf, -inf, nan, w.Data[8]},
+		2: {nan, inf, -inf, nan},
+		3: {inf, inf, inf, inf},
+	} {
+		for i, tap := range corners {
+			w.Data[ch*9+tap] = vals[i]
+		}
+	}
+	for ch, border := range map[int]float32{1: inf, 2: -inf, 3: inf} {
+		for i := 0; i < hw; i++ {
+			for _, at := range [][2]int{{0, i}, {hw - 1, i}, {i, 0}, {i, hw - 1}} {
+				x.Set(0, ch, at[0], at[1], border)
+			}
+		}
+	}
+	p := tensor.ConvParams{OutC: c, Kernel: 3, Stride: 1, Pad: 1, Groups: c}
+	bias := randTensor("dw-inf-b", 1, c, 1, 1)
+	defer SetWorkers(SetWorkers(1))
+	for _, v := range matrixVariants([]Family{FamDepthwise}) {
+		want := refExecConv(v, x, w, bias, p)
+		// The top-left output of channel 0 reads only finite taps in
+		// bounds; its three non-finite corners fall outside the image.
+		// Skipped, it is finite; padded with zeros, it would be NaN.
+		if y := want.At(0, 0, 0, 0); math.IsNaN(float64(y)) || math.IsInf(float64(y), 0) {
+			t.Fatalf("%+v: reference corner output %v, want finite", v, y)
+		}
+		for _, workers := range []int{1, 4} {
+			SetWorkers(workers)
+			got := tensor.New(1, c, hw, hw)
+			got.Fill(float32(math.NaN())) // stale contents must be overwritten
+			if err := ExecConvInto(v, x, w, bias, p, got); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("inf-taps %+v workers=%d", v, workers), got, want)
 		}
 	}
 }
@@ -361,11 +427,15 @@ func TestExecIntoSteadyStateZeroAllocs(t *testing.T) {
 	fw := randTensor("za-fw", 1, 20*256, 1, 1)
 	fv := Variant{Family: FamGEMM, TileM: 64, TileN: 64, TileK: 64, Precision: tensor.FP16}
 	fy := tensor.New(1, 20, 1, 1)
+	dx, dw, dp, dv, dy := depthwiseBenchCase()
 	for i := 0; i < 3; i++ { // warm the scratch pool
 		if err := ExecConvInto(v, x, w, nil, p, y); err != nil {
 			t.Fatal(err)
 		}
 		if err := ExecFCInto(fv, fx, fw, nil, 20, fy); err != nil {
+			t.Fatal(err)
+		}
+		if err := ExecConvInto(dv, dx, dw, nil, dp, dy); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,6 +445,13 @@ func TestExecIntoSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("ExecConvInto allocates %.1f objects per run in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := ExecConvInto(dv, dx, dw, nil, dp, dy); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("depthwise ExecConvInto allocates %.1f objects per run in steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		if err := ExecFCInto(fv, fx, fw, nil, 20, fy); err != nil {
@@ -412,6 +489,34 @@ func BenchmarkExecConvInto(b *testing.B) {
 	p := tensor.ConvParams{OutC: 64, Kernel: 3, Stride: 1, Pad: 1, Groups: 1}
 	v := Variant{Family: FamHMMAConv, TileM: 128, TileN: 64, TileK: 64, Precision: tensor.FP16}
 	y := tensor.New(1, 64, 16, 16)
+	if err := ExecConvInto(v, x, w, nil, p, y); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ExecConvInto(v, x, w, nil, p, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// depthwiseBenchCase is the numeric proxies' conv: a 3x3 depthwise
+// smoothing conv over a [1,3,32,32] image with the FP16 depthwise
+// variant the tuner offers.
+func depthwiseBenchCase() (x, w *tensor.Tensor, p tensor.ConvParams, v Variant, y *tensor.Tensor) {
+	x = randTensor("bench-dw-x", 1, 3, 32, 32)
+	w = randTensor("bench-dw-w", 3, 1, 3, 3)
+	p = tensor.ConvParams{OutC: 3, Kernel: 3, Stride: 1, Pad: 1, Groups: 3}
+	v = Variant{Family: FamDepthwise, TileM: 128, TileN: 8, TileK: 16, Precision: tensor.FP16, FusedAct: true, NHWC: true}
+	return x, w, p, v, tensor.New(1, 3, 32, 32)
+}
+
+// BenchmarkExecConvIntoDepthwise times the direct depthwise kernel at
+// the proxies' shape on one worker; it must report 0 allocs/op.
+func BenchmarkExecConvIntoDepthwise(b *testing.B) {
+	defer SetWorkers(SetWorkers(1))
+	x, w, p, v, y := depthwiseBenchCase()
 	if err := ExecConvInto(v, x, w, nil, p, y); err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package netserve
 
 import (
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"edgeinfer/internal/dataset"
 	"edgeinfer/internal/rtctx"
 )
 
@@ -399,5 +401,35 @@ func TestAdmitGateOrderInvariant(t *testing.T) {
 	}
 	if got := q2.popLive(); got != occupant {
 		t.Fatal("feasible occupant missing after hopeless admit attempt")
+	}
+}
+
+// --- index-form inputs ---
+
+// TestIndexInputsMatchBenignSet pins that {"input": i} serves the bits
+// of sample i mod 100 of the one-per-class benign set — the tensors the
+// server used to keep resident — and that a negative index is still
+// refused.
+func TestIndexInputsMatchBenignSet(t *testing.T) {
+	s := deadlineServer(0, 0)
+	set := dataset.Benign(dataset.DefaultBenign(1))
+	for _, idx := range []int{0, 1, 57, 99, 100, 12345} {
+		x, reason := s.decodeInput(&inferRequest{Input: &idx}, [4]int{1, 3, 32, 32})
+		if reason != "" {
+			t.Fatalf("index %d rejected: %s", idx, reason)
+		}
+		want := set[idx%len(set)].Image
+		if !x.SameShape(want) {
+			t.Fatalf("index %d: shape %v, want %v", idx, x.Shape(), want.Shape())
+		}
+		for i, v := range want.Data {
+			if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("index %d: element %d differs from benign sample %d", idx, i, idx%len(set))
+			}
+		}
+	}
+	neg := -1
+	if x, reason := s.decodeInput(&inferRequest{Input: &neg}, [4]int{1, 3, 32, 32}); x != nil || reason == "" {
+		t.Fatalf("negative index accepted: %v %q", x, reason)
 	}
 }

@@ -207,7 +207,6 @@ type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
 	queues map[string]*modelQueue
-	inputs []*tensor.Tensor // deterministic benign inputs for index requests
 
 	wg       sync.WaitGroup // batcher goroutines
 	inFlight atomic.Int64
@@ -257,11 +256,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.queues[mc.Name] = newModelQueue(mc.Name, be, c.MaxBatch, c.BatchWindow, c.QueueDepth, c.EDF, wcetSec)
-	}
-	// Deterministic benign inputs for {"input": N} requests: one per
-	// class, same synthesis the experiments use.
-	for _, sm := range dataset.Benign(dataset.DefaultBenign(1)) {
-		s.inputs = append(s.inputs, sm.Image)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/models/{model}/infer", s.handleInfer)
@@ -461,6 +455,11 @@ func parseTenant(r *http.Request) (string, error) {
 	return t, nil
 }
 
+// indexInputs is the benign set {"input": i} requests draw from: one
+// image per class, the synthesis the experiments use. Index i serves
+// sample i mod 100, synthesized on demand rather than kept resident.
+var indexInputs = dataset.DefaultBenign(1)
+
 // decodeInput turns the request body into a model-shaped tensor. Raw
 // payloads must match the backend's input shape exactly — a mismatched
 // tensor cannot share a coalesced batch.
@@ -469,14 +468,11 @@ func (s *Server) decodeInput(req *inferRequest, shape [4]int) (*tensor.Tensor, s
 	case req.Input != nil && req.Data != nil:
 		return nil, "request has both input index and raw data"
 	case req.Input != nil:
-		if len(s.inputs) == 0 {
-			return nil, "server has no benign inputs"
-		}
 		idx := *req.Input
 		if idx < 0 {
 			return nil, "input index is negative"
 		}
-		return s.inputs[idx%len(s.inputs)], ""
+		return dataset.BenignSample(indexInputs, idx%(indexInputs.Classes*indexInputs.PerClass)).Image, ""
 	case req.Data != nil:
 		if req.Shape != shape {
 			return nil, fmt.Sprintf("shape %v does not match model input %v", req.Shape, shape)

@@ -82,9 +82,16 @@ type PoolParams struct {
 // MaxPool2D computes max pooling. Padded positions are ignored (treated as
 // -inf), matching cuDNN semantics.
 func MaxPool2D(x *Tensor, p PoolParams) *Tensor {
-	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	y := New(x.N, x.C, oh, ow)
+	y := New(x.N, x.C, ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad), ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad))
+	MaxPool2DInto(x, p, y)
+	return y
+}
+
+// MaxPool2DInto is MaxPool2D writing into y, which must have the pooled
+// shape. Every element is written; a window with no in-bounds position
+// yields -Inf.
+func MaxPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
+	oh, ow := poolOutShape(x, p, y)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for i := 0; i < oh; i++ {
@@ -110,14 +117,20 @@ func MaxPool2D(x *Tensor, p PoolParams) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // AvgPool2D computes average pooling over valid (unpadded) positions.
 func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
-	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	y := New(x.N, x.C, oh, ow)
+	y := New(x.N, x.C, ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad), ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad))
+	AvgPool2DInto(x, p, y)
+	return y
+}
+
+// AvgPool2DInto is AvgPool2D writing into y, which must have the pooled
+// shape. Every element is written; a window with no in-bounds position
+// yields 0.
+func AvgPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
+	oh, ow := poolOutShape(x, p, y)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for i := 0; i < oh; i++ {
@@ -138,14 +151,31 @@ func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
 							count++
 						}
 					}
+					var avg float32
 					if count > 0 {
-						y.Set(n, c, i, j, sum/float32(count))
+						avg = sum / float32(count)
 					}
+					y.Set(n, c, i, j, avg)
 				}
 			}
 		}
 	}
-	return y
+}
+
+// poolOutShape returns the pooled spatial size of x and panics unless y
+// has exactly the pooled shape.
+func poolOutShape(x *Tensor, p PoolParams, y *Tensor) (oh, ow int) {
+	oh = ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
+	ow = ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
+	mustShape(y, x.N, x.C, oh, ow)
+	return oh, ow
+}
+
+// mustShape panics unless y has shape [n, c, h, w].
+func mustShape(y *Tensor, n, c, h, w int) {
+	if y.N != n || y.C != c || y.H != h || y.W != w {
+		panic(fmt.Sprintf("tensor: output %v, want [%d %d %d %d]", y.Shape(), n, c, h, w))
+	}
 }
 
 // GlobalAvgPool2D reduces each channel's spatial plane to its mean,
@@ -277,6 +307,14 @@ func LRN(x *Tensor, size int, alpha, beta, k float32) *Tensor {
 // spatial position).
 func Softmax(x *Tensor) *Tensor {
 	y := New(x.N, x.C, x.H, x.W)
+	SoftmaxInto(x, y)
+	return y
+}
+
+// SoftmaxInto is Softmax writing every element of y, which must have x's
+// shape.
+func SoftmaxInto(x, y *Tensor) {
+	mustShape(y, x.N, x.C, x.H, x.W)
 	for n := 0; n < x.N; n++ {
 		for h := 0; h < x.H; h++ {
 			for w := 0; w < x.W; w++ {
@@ -296,7 +334,6 @@ func Softmax(x *Tensor) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // Add returns the elementwise sum of two same-shaped tensors (residual
@@ -315,32 +352,40 @@ func Add(a, b *Tensor) *Tensor {
 // Concat concatenates tensors along the channel dimension. All inputs
 // must agree on N, H, W.
 func Concat(ts ...*Tensor) *Tensor {
+	n, c, h, w := ConcatShape(ts...)
+	y := New(n, c, h, w)
+	ConcatInto(y, ts...)
+	return y
+}
+
+// ConcatShape returns the shape of the channel concatenation of ts and
+// panics if they are empty or disagree on N, H or W.
+func ConcatShape(ts ...*Tensor) (n, c, h, w int) {
 	if len(ts) == 0 {
 		panic("tensor: concat of zero tensors")
 	}
-	n, h, w := ts[0].N, ts[0].H, ts[0].W
-	totalC := 0
+	n, h, w = ts[0].N, ts[0].H, ts[0].W
 	for _, t := range ts {
 		if t.N != n || t.H != h || t.W != w {
 			panic(fmt.Sprintf("tensor: concat shape mismatch %v vs [N=%d H=%d W=%d]", t.Shape(), n, h, w))
 		}
-		totalC += t.C
+		c += t.C
 	}
-	y := New(n, totalC, h, w)
+	return n, c, h, w
+}
+
+// ConcatInto is Concat writing every element of y, which must have the
+// concatenated shape.
+func ConcatInto(y *Tensor, ts ...*Tensor) {
+	n, c, h, w := ConcatShape(ts...)
+	mustShape(y, n, c, h, w)
 	for ni := 0; ni < n; ni++ {
-		coff := 0
+		off := ni * c * h * w
 		for _, t := range ts {
-			for c := 0; c < t.C; c++ {
-				for hi := 0; hi < h; hi++ {
-					for wi := 0; wi < w; wi++ {
-						y.Set(ni, coff+c, hi, wi, t.At(ni, c, hi, wi))
-					}
-				}
-			}
-			coff += t.C
+			plane := t.C * h * w
+			off += copy(y.Data[off:off+plane], t.Data[ni*plane:(ni+1)*plane])
 		}
 	}
-	return y
 }
 
 // Upsample2x nearest-neighbour upsamples the spatial dims by 2 (used by

@@ -44,9 +44,31 @@ func (p Precision) Bytes() int {
 // RoundFP16 rounds a float32 to the nearest IEEE 754 binary16 value and
 // returns it widened back to float32. Overflow saturates to ±Inf and
 // subnormals flush following round-to-nearest-even.
+//
+// Every kernel rounding point lands here, so the normal half range below
+// its top binade (float32 exponents 113..141) rounds in the float32
+// domain without the half round trip: adding 0xfff plus the lowest kept
+// bit to the bits rounds the 13 mantissa bits a half drops to nearest
+// even, and a mantissa carry walks into the exponent exactly as the
+// converter's does. The top binade (which may overflow), subnormals,
+// underflow, Inf and NaN take the converter. Both paths agree bit for
+// bit (TestRoundFP16MatchesConverter).
 func RoundFP16(v float32) float32 {
+	b := math.Float32bits(v)
+	if e := b >> 23 & 0xff; e-fp16FastExpLo < fp16FastExpHi-fp16FastExpLo {
+		b += 0xfff + b>>13&1
+		return math.Float32frombits(b &^ 0x1fff)
+	}
 	return fp16BitsToFloat(floatToFP16Bits(v))
 }
+
+// The float32 exponent range [fp16FastExpLo, fp16FastExpHi) RoundFP16
+// rounds without the converter: normal halves (2^-14 and up) whose
+// rounding cannot overflow (below 2^15).
+const (
+	fp16FastExpLo = 113
+	fp16FastExpHi = 142
+)
 
 // floatToFP16Bits converts float32 to IEEE binary16 bits with
 // round-to-nearest-even.

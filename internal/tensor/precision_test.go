@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +96,79 @@ func TestRoundFP16Properties(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fp16FullSweep opts into checking RoundFP16 against the converter on
+// all 2^32 float32 bit patterns (about a minute on two cores):
+//
+//	go test ./internal/tensor -run TestRoundFP16MatchesConverter -args -fp16.full
+var fp16FullSweep = flag.Bool("fp16.full", false, "check RoundFP16 against the converter on every float32")
+
+// roundFP16Ref is the converter round trip RoundFP16's fast path must
+// reproduce bit for bit.
+func roundFP16Ref(v float32) float32 { return fp16BitsToFloat(floatToFP16Bits(v)) }
+
+// checkRoundFP16Range compares RoundFP16 with the converter on the
+// float32 bit patterns [lo, hi], split across two goroutines. It reports
+// the first mismatch it sees.
+func checkRoundFP16Range(t *testing.T, lo, hi uint32) {
+	t.Helper()
+	const parts = 2
+	var wg sync.WaitGroup
+	bad := make([]string, parts)
+	span := (uint64(hi) - uint64(lo) + 1) / parts
+	for p := 0; p < parts; p++ {
+		a := uint64(lo) + uint64(p)*span
+		b := a + span - 1
+		if p == parts-1 {
+			b = uint64(hi)
+		}
+		wg.Add(1)
+		go func(p int, a, b uint64) {
+			defer wg.Done()
+			for u := a; u <= b; u++ {
+				v := math.Float32frombits(uint32(u))
+				if got, want := math.Float32bits(RoundFP16(v)), math.Float32bits(roundFP16Ref(v)); got != want {
+					bad[p] = fmt.Sprintf("RoundFP16(%08x) = %08x, converter gives %08x", u, got, want)
+					return
+				}
+			}
+		}(p, a, b)
+	}
+	wg.Wait()
+	for _, msg := range bad {
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// TestRoundFP16MatchesConverter pins the float32-domain fast path to the
+// converter bit for bit: every sign and mantissa at the exponents that
+// border a path or range switch (underflow, subnormal, normal, the fast
+// range's ends, overflow, Inf/NaN), then all 65,536 halves with their
+// ±1-ulp and tie-midpoint neighbours.
+func TestRoundFP16MatchesConverter(t *testing.T) {
+	if *fp16FullSweep {
+		checkRoundFP16Range(t, 0, math.MaxUint32)
+		return
+	}
+	for _, exp := range []uint32{0, 102, 103, 112, 113, 127, 142, 143, 255} {
+		for _, sign := range []uint32{0, 1} {
+			base := sign<<31 | exp<<23
+			checkRoundFP16Range(t, base, base|0x7fffff)
+		}
+	}
+	for h := 0; h < 1<<16; h++ {
+		f := fp16BitsToFloat(uint16(h))
+		b := math.Float32bits(f)
+		for _, u := range []uint32{b, b - 1, b + 1, b + 0x1000, b - 0x1000} {
+			v := math.Float32frombits(u)
+			if got, want := math.Float32bits(RoundFP16(v)), math.Float32bits(roundFP16Ref(v)); got != want {
+				t.Fatalf("half %04x neighbour %08x: RoundFP16 = %08x, converter gives %08x", h, u, got, want)
+			}
+		}
 	}
 }
 

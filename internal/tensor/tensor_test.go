@@ -202,6 +202,54 @@ func TestAvgPool(t *testing.T) {
 	}
 }
 
+func TestPoolIntoWindowsWithoutTaps(t *testing.T) {
+	// Pad 1 around a 1x1 kernel: the ring of outputs reads no input, so
+	// AvgPool must write 0 and MaxPool -Inf over any stale contents.
+	x := New(1, 1, 2, 2)
+	copy(x.Data, []float32{1, 2, 3, 4})
+	p := PoolParams{Kernel: 1, Stride: 1, Pad: 1}
+	avg, max := New(1, 1, 4, 4), New(1, 1, 4, 4)
+	avg.Fill(float32(math.NaN()))
+	max.Fill(float32(math.NaN()))
+	AvgPool2DInto(x, p, avg)
+	MaxPool2DInto(x, p, max)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			inside := i >= 1 && i <= 2 && j >= 1 && j <= 2
+			wantAvg, wantMax := float32(0), float32(math.Inf(-1))
+			if inside {
+				wantAvg = x.At(0, 0, i-1, j-1)
+				wantMax = wantAvg
+			}
+			if got := avg.At(0, 0, i, j); got != wantAvg {
+				t.Fatalf("avgpool (%d,%d) = %v, want %v", i, j, got, wantAvg)
+			}
+			if got := max.At(0, 0, i, j); got != wantMax {
+				t.Fatalf("maxpool (%d,%d) = %v, want %v", i, j, got, wantMax)
+			}
+		}
+	}
+}
+
+func TestIntoFormsRejectMisshapedOutput(t *testing.T) {
+	x := New(1, 2, 4, 4)
+	for name, f := range map[string]func(){
+		"avgpool": func() { AvgPool2DInto(x, PoolParams{Kernel: 2, Stride: 2}, New(1, 2, 4, 4)) },
+		"maxpool": func() { MaxPool2DInto(x, PoolParams{Kernel: 2, Stride: 2}, New(1, 2, 3, 2)) },
+		"softmax": func() { SoftmaxInto(x, New(1, 3, 4, 4)) },
+		"concat":  func() { ConcatInto(New(1, 3, 4, 4), x, x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a mis-shaped output", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestGlobalAvgPool(t *testing.T) {
 	x := New(2, 3, 4, 4)
 	x.Fill(2)
