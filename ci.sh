@@ -25,7 +25,10 @@
 # learned-predictor cold-build benchmark (cmd/predbench): the model zoo
 # built unpruned vs pruned with a freshly trained latency predictor,
 # gated on byte-identical tactic choices and a >=50% cut in modeled
-# tactic-timing cost, archived as BENCH_build.json.
+# tactic-timing cost, archived as BENCH_build.json. After the static
+# checks, every checked-in results/ transcript (faulttol, chaos,
+# extensions, alltables) is regenerated into a scratch directory and
+# must match byte for byte.
 # Run from the repo root.
 set -eux
 
@@ -38,6 +41,18 @@ go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...
 go run ./cmd/rtlint -plancheck
+# Golden regeneration: the results/ transcripts are seeded and
+# deterministic, so any byte of drift is a behaviour change that must be
+# explained and regenerated in the same commit.
+gold=$(mktemp -d)
+trap 'rm -rf "$gold"' EXIT
+go run ./cmd/faultbench -out "$gold/faulttol.txt" >/dev/null
+go run ./cmd/chaosbench -out "$gold/chaos.txt" >/dev/null
+go run ./cmd/benchtables -ext >"$gold/extensions.txt"
+go run ./cmd/benchtables -all >"$gold/alltables.txt"
+for f in faulttol chaos extensions alltables; do
+  cmp "$gold/$f.txt" "results/$f.txt"
+done
 {
   go test -run='^$' -bench='^(BenchmarkNumericInference|BenchmarkEngineBuild|BenchmarkInferBatch)$' \
     -benchmem -benchtime=1x .

@@ -245,3 +245,26 @@ func TestFindingOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultRootsResolve loads this repository and requires every
+// default panic root and blocking function to name a function in it.
+// The analyzers skip an ID they cannot resolve without a message, so a
+// renamed or deleted entry point would otherwise drop out of analysis
+// unnoticed.
+func TestDefaultRootsResolve(t *testing.T) {
+	m, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := moduleFuncDecls(m)
+	for list, ids := range map[string][]string{
+		"DefaultPanicRoots":    DefaultPanicRoots,
+		"DefaultBlockingFuncs": DefaultBlockingFuncs,
+	} {
+		for _, id := range ids {
+			if decls[id] == nil {
+				t.Errorf("%s entry %s names no function in module %s", list, id, m.Path)
+			}
+		}
+	}
+}

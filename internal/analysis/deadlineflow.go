@@ -11,13 +11,14 @@ import (
 // was handed a request budget — an *rtctx.Request, a context.Context,
 // or a parameter named like deadlineSec/timeout/budget — calling a
 // module function that has a budget-aware sibling, discarding the
-// budget at the call. The canonical miss: calling Pool.DoBatch from a
-// path that was handed an rtctx.Request when Pool.DoBatchCtx exists.
+// budget at the call. The canonical miss: calling Engine.InferBatch from
+// a path that was handed an rtctx.Request when Engine.InferBatchCtx
+// exists.
 // The request then runs with no budget at all and the caller's
 // deadline accounting silently lies.
 //
 // A sibling is the same function name with a "Ctx" or "Deadline"
-// suffix on the same receiver (DoBatch -> DoBatchCtx, Run ->
+// suffix on the same receiver (InferBatch -> InferBatchCtx, Run ->
 // RunDeadline). Calls already targeting a *Ctx or *Deadline function
 // are never flagged, and a call is reported at most once even when
 // both sibling spellings exist. Goroutine launches are skipped: work

@@ -25,22 +25,32 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := batchInputs(t, "steady-alloc-x", 4)
-	for i := 0; i < 3; i++ { // warm the arena and scratch pools
-		if _, err := e.InferBatch(xs); err != nil {
-			t.Fatal(err)
+	// Engine.Infer is the same path at a batch of one.
+	for _, tc := range []struct {
+		name string
+		n    int
+		run  func() error
+	}{
+		{"InferBatch", len(xs), func() error { _, err := e.InferBatch(xs); return err }},
+		{"Infer", 1, func() error { _, err := e.Infer(xs[0]); return err }},
+	} {
+		for i := 0; i < 3; i++ { // warm the arena and scratch pools
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.InferBatch(xs); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Budget: 1 outs slice + n inner output slices, plus 2 allocs
+		// (tensor header + data) per image for the graph output. Every
+		// intermediate, conv/FC or reference-executed (the optimized
+		// tinynet plan keeps a concat), comes from the arena.
+		budget := float64(1 + tc.n + 2*tc.n)
+		if allocs > budget {
+			t.Fatalf("%s allocates %.1f objects per call in steady state, budget %.0f", tc.name, allocs, budget)
 		}
-	})
-	// Budget: 1 outs slice + len(xs) inner output slices, plus 2 allocs
-	// (tensor header + data) per image for the graph output. Every
-	// intermediate, conv/FC or reference-executed (the optimized tinynet
-	// plan keeps a concat), comes from the arena.
-	budget := float64(1 + len(xs) + 2*len(xs))
-	if allocs > budget {
-		t.Fatalf("InferBatch allocates %.1f objects per batch in steady state, budget %.0f", allocs, budget)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,98 @@ func TestInferBatchFaultyDrawsOncePerLayer(t *testing.T) {
 	fail.failLayer = e.Graph.Layers[len(e.Graph.Layers)-1].Name
 	if _, err := e.InferBatchFaulty(xs, fail); !errors.Is(err, ErrLaunchFailed) {
 		t.Fatalf("failed launch: got %v, want ErrLaunchFailed", err)
+	}
+}
+
+// recordingFaults logs every injector consultation in call order, and
+// fails the launch of failLayer (when set).
+type recordingFaults struct {
+	failLayer string
+	calls     []string
+}
+
+func (f *recordingFaults) MemcpyH2D(bytes int64) (int, error) { return 0, nil }
+
+func (f *recordingFaults) Launch(index int, symbol string) LaunchFault {
+	f.calls = append(f.calls, fmt.Sprintf("Launch(%d,%s)", index, symbol))
+	return LaunchFault{Fail: symbol == f.failLayer}
+}
+
+func (f *recordingFaults) CorruptWeights(layer, key string, w *tensor.Tensor) *tensor.Tensor {
+	f.calls = append(f.calls, fmt.Sprintf("CorruptWeights(%s,%s)", layer, key))
+	return w
+}
+
+func (f *recordingFaults) CorruptActivation(layer string, y *tensor.Tensor) {
+	f.calls = append(f.calls, fmt.Sprintf("CorruptActivation(%s)", layer))
+}
+
+// TestSingleImageFaultDrawOrder pins the injector call sequence of one
+// image, which seeded fault campaigns replay: for each non-input layer
+// in plan order, Launch, then CorruptWeights for conv/FC, then
+// CorruptActivation. A failing Launch ends the sequence at that layer.
+// InferFaulty and a batch of one must draw identically.
+func TestSingleImageFaultDrawOrder(t *testing.T) {
+	g := tinyNet(t)
+	e, err := Build(g, nxCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := batchInputs(t, "draw-order", 1)[0]
+	expected := func(failLayer string) []string {
+		var want []string
+		for i, l := range e.Graph.Layers {
+			if l.Op == graph.OpInput {
+				continue
+			}
+			want = append(want, fmt.Sprintf("Launch(%d,%s)", i, l.Name))
+			if l.Name == failLayer {
+				return want
+			}
+			if l.Op == graph.OpConv || l.Op == graph.OpFC {
+				want = append(want, fmt.Sprintf("CorruptWeights(%s,w)", l.Name))
+			}
+			want = append(want, fmt.Sprintf("CorruptActivation(%s)", l.Name))
+		}
+		return want
+	}
+	paths := map[string]func(FaultInjector) error{
+		"InferFaulty": func(fi FaultInjector) error {
+			_, err := e.InferFaulty(x, fi)
+			return err
+		},
+		"InferBatchFaulty": func(fi FaultInjector) error {
+			_, err := e.InferBatchFaulty([]*tensor.Tensor{x}, fi)
+			return err
+		},
+	}
+	// Fail at a mid-plan layer with weights, so the truncation drops the
+	// layer's own weight draw as well as every later layer.
+	failLayer := ""
+	for _, l := range e.Graph.Layers[1 : len(e.Graph.Layers)-1] {
+		if l.Op == graph.OpConv || l.Op == graph.OpFC {
+			failLayer = l.Name
+			break
+		}
+	}
+	if failLayer == "" {
+		t.Fatal("tinynet plan has no mid-plan conv/FC layer to fail")
+	}
+	for name, run := range paths {
+		rec := &recordingFaults{}
+		if err := run(rec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := expected(""); !reflect.DeepEqual(rec.calls, want) {
+			t.Errorf("%s draws\n%v\nwant\n%v", name, rec.calls, want)
+		}
+		rec = &recordingFaults{failLayer: failLayer}
+		if err := run(rec); !errors.Is(err, ErrLaunchFailed) {
+			t.Fatalf("%s with failing launch at %s: got %v, want ErrLaunchFailed", name, failLayer, err)
+		}
+		if want := expected(failLayer); !reflect.DeepEqual(rec.calls, want) {
+			t.Errorf("%s draws with failing launch at %s\n%v\nwant\n%v", name, failLayer, rec.calls, want)
+		}
 	}
 }
 

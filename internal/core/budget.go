@@ -53,7 +53,7 @@ func (e *Engine) layerCostsSec(dev *gpusim.Device) map[string]float64 {
 // InferBatchFaulty: same results, same injector draw order, no
 // allocation added to the hot path.
 func (e *Engine) InferBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, fi FaultInjector, dev *gpusim.Device, burnedSec float64) ([][]*tensor.Tensor, error) {
-	return e.inferBatchGuarded(xs, fi, e.budgetGuard(ctx, dev, burnedSec))
+	return e.inferBatchRange(xs, fi, e.budgetGuard(ctx, dev, burnedSec), 0, -1, nil)
 }
 
 // budgetGuard builds the layer-boundary charging guard InferBatchCtx

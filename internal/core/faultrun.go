@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"edgeinfer/internal/fixrand"
-	"edgeinfer/internal/graph"
 	"edgeinfer/internal/tensor"
 )
 
@@ -114,63 +113,13 @@ func (e *Engine) RunFaulty(cfg RunConfig, fi FaultInjector) (RunResult, error) {
 // InferFaulty runs the engine numerically like Infer while consulting
 // the injector: transient launch failures abort the inference with
 // ErrLaunchFailed, and bit-flip corruption is applied to weights (on a
-// copy) and activations (in place) as the plan dictates.
+// copy) and activations (in place) as the plan dictates. One image is a
+// batch of one, so for each layer the injector sees Launch, then
+// CorruptWeights (conv/FC), then CorruptActivation.
 func (e *Engine) InferFaulty(x *tensor.Tensor, fi FaultInjector) ([]*tensor.Tensor, error) {
-	if !e.Numeric {
-		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
+	outs, err := e.inferBatchRange([]*tensor.Tensor{x}, fi, nil, 0, -1, nil)
+	if err != nil {
+		return nil, err
 	}
-	g := e.Graph
-	acts := make(map[string]*tensor.Tensor, len(g.Layers))
-	// Every non-input activation is recycled through the arena once the
-	// inference ends — except the graph outputs (the caller owns those)
-	// and anything aliasing the caller's input.
-	owned := make([]*tensor.Tensor, 0, len(g.Layers))
-	defer func() {
-		keep := make(map[*tensor.Tensor]bool, len(g.Outputs)+1)
-		keep[x] = true
-		for _, name := range g.Outputs {
-			keep[acts[name]] = true
-		}
-		actArena.releaseActs(owned, keep)
-	}()
-	for i, l := range g.Layers {
-		if fi != nil && l.Op != graph.OpInput {
-			if lf := fi.Launch(i, l.Name); lf.Fail {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, ErrLaunchFailed)
-			}
-		}
-		var y *tensor.Tensor
-		var err error
-		switch {
-		case l.Op == graph.OpInput:
-			y = x
-		case l.Op == graph.OpConv:
-			y, err = e.inferConv(l, acts, fi)
-		case l.Op == graph.OpFC:
-			y, err = e.inferFC(l, acts, fi)
-		default:
-			ins := make([]*tensor.Tensor, len(l.Inputs))
-			for i, name := range l.Inputs {
-				ins[i] = acts[name]
-			}
-			y, err = graph.EvalLayerInto(l, ins, arenaTensor)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)
-		}
-		// Activation corruption: never on the caller's input tensor (it
-		// outlives this request); pass-through ops alias it directly.
-		if fi != nil && l.Op != graph.OpInput && y != x {
-			fi.CorruptActivation(l.Name, y)
-		}
-		acts[l.Name] = y
-		if l.Op != graph.OpInput {
-			owned = append(owned, y)
-		}
-	}
-	outs := make([]*tensor.Tensor, len(g.Outputs))
-	for i, name := range g.Outputs {
-		outs[i] = acts[name]
-	}
-	return outs, nil
+	return outs[0], nil
 }

@@ -7,18 +7,21 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// Batched numeric inference. InferBatch pipelines the layer plan across a
-// batch of images: layers run in plan order, and within each layer every
-// image executes back to back — the software analogue of one batched
-// kernel launch. That keeps each layer's weights hot in cache across the
-// whole batch, resolves kernel variants and fusion metadata once per
-// layer instead of once per image, and (on the fault path) draws launch
-// and weight-corruption verdicts once per layer, the way a single batched
+// Batched numeric inference: the one numeric layer loop. Infer and
+// InferFaulty run it as a batch of one; InferBatch, InferBatchFaulty,
+// InferBatchCtx and InferRangeCtx run it over a batch or a layer range.
+// Layers run in plan order, and within each layer every image executes
+// back to back — the software analogue of one batched kernel launch.
+// That keeps each layer's weights hot in cache across the whole batch,
+// resolves kernel variants and fusion metadata once per layer instead of
+// once per image, and (on the fault path) draws launch and
+// weight-corruption verdicts once per layer, the way a single batched
 // launch would fail or corrupt.
 //
-// Per-image numerics are untouched: each image's activations flow through
-// the exact same convApply/fcApply/EvalLayer calls Infer performs, so on
-// a pristine device InferBatch(xs)[i] is bit-identical to Infer(xs[i]).
+// Per-image numerics do not depend on the batch: each image's
+// activations flow through the same convApply/fcApply/EvalLayer calls,
+// so on a pristine device InferBatch(xs)[i] is bit-identical to
+// Infer(xs[i]).
 
 // InferBatch runs the engine numerically on a batch of inputs and
 // returns one output slice per input, in input order. It is
@@ -29,24 +32,15 @@ func (e *Engine) InferBatch(xs []*tensor.Tensor) ([][]*tensor.Tensor, error) {
 	return e.InferBatchFaulty(xs, nil)
 }
 
-// InferBatchFaulty is InferBatch consulting a fault injector. Unlike the
-// per-image path, the injector is consulted once per layer — one Launch
-// verdict and one weight-corruption draw cover the whole batch, modeling
-// one batched kernel launch — while activation corruption still applies
-// per image (each image's activation is a distinct tensor). Budget-
+// InferBatchFaulty is InferBatch consulting a fault injector. The
+// injector is consulted once per layer — one Launch verdict and one
+// weight-corruption draw cover the whole batch, modeling one batched
+// kernel launch — while activation corruption still applies per image
+// (each image's activation is a distinct tensor). Budget-
 // carrying callers go through InferBatchCtx, which is this path with a
 // layer-boundary guard armed.
 func (e *Engine) InferBatchFaulty(xs []*tensor.Tensor, fi FaultInjector) ([][]*tensor.Tensor, error) {
-	return e.inferBatchGuarded(xs, fi, nil)
-}
-
-// inferBatchGuarded is the whole-graph batched-inference body. The
-// guard, when non-nil, is consulted at each layer boundary before the
-// layer's launch verdict; its error aborts the batch mid-graph without
-// drawing for the aborted layer. The nil-guard path is byte-for-byte
-// InferBatchFaulty: identical injector draw order, no extra allocation.
-func (e *Engine) inferBatchGuarded(xs []*tensor.Tensor, fi FaultInjector, guard layerGuard) ([][]*tensor.Tensor, error) {
-	return e.inferBatchRange(xs, fi, guard, 0, -1, nil)
+	return e.inferBatchRange(xs, fi, nil, 0, -1, nil)
 }
 
 // inferBatchRange is the one batched-inference body, generalized to the
@@ -151,6 +145,8 @@ func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard la
 			if err != nil {
 				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)
 			}
+			// Activation corruption: never on the caller's input tensor
+			// (it outlives this request); pass-through ops alias it.
 			if fi != nil && l.Op != graph.OpInput && y != x {
 				fi.CorruptActivation(l.Name, y)
 			}

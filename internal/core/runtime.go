@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -156,20 +154,6 @@ func (e *Engine) Infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
 	return e.InferFaulty(x, nil)
 }
 
-// inferConv executes a conv layer for one image, drawing weight
-// corruption from the injector. The batch path corrupts once per layer
-// and calls convApply directly.
-func (e *Engine) inferConv(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector) (*tensor.Tensor, error) {
-	w, b := l.Weights["w"], l.Weights["b"]
-	if w == nil {
-		return nil, fmt.Errorf("conv %s has no weights", l.Name)
-	}
-	if fi != nil {
-		w = fi.CorruptWeights(l.Name, "w", w)
-	}
-	return e.convApply(l, acts, w, b)
-}
-
 // convApply runs a conv layer with already-resolved (possibly corrupted)
 // weights. The output and the INT8 fake-quant copy come from the arena;
 // the quant copy goes back as soon as the kernel has consumed it.
@@ -220,18 +204,6 @@ func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) 
 	oh = tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad)
 	ow = tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad)
 	return oh, ow, oh >= 1 && ow >= 1
-}
-
-// inferFC executes an FC layer for one image; see inferConv.
-func (e *Engine) inferFC(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector) (*tensor.Tensor, error) {
-	w, b := l.Weights["w"], l.Weights["b"]
-	if w == nil {
-		return nil, fmt.Errorf("fc %s has no weights", l.Name)
-	}
-	if fi != nil {
-		w = fi.CorruptWeights(l.Name, "w", w)
-	}
-	return e.fcApply(l, acts, w, b)
 }
 
 // fcApply runs an FC layer with already-resolved weights; see convApply.

@@ -1,10 +1,10 @@
-// Batched serving. DoBatch is the batch twin of Executor.Do/Pool.Do,
-// built on Engine.InferBatchFaulty: one timed pass and one batched
-// numeric inference per attempt instead of one of each per image, so the
-// replica fleet amortizes launch, retry and voting overhead across the
-// batch. Per-image numerics are untouched — on a pristine executor or
-// fleet, the batch outputs are bit-identical to serving each image
-// individually.
+// Batched serving: the one serving path of Executor and Pool. Each tier
+// attempt is one timed pass over the engine plan plus one batched
+// numeric inference (Engine.InferBatchCtx), so the replica fleet
+// amortizes launch, retry and voting overhead across the batch. A
+// single-image request (DoCtx) is a batch of one. Per-image numerics are
+// untouched: on a pristine executor or fleet, the batch outputs are
+// bit-identical to serving each image on its own.
 package serve
 
 import (
@@ -34,51 +34,32 @@ type BatchResult struct {
 	DeadlineMiss bool
 }
 
-// DoBatch serves one batched numeric request through the same
-// degradation chain as Do. Each tier attempt is a single timed pass over
-// the engine plan plus one batched inference; a fault anywhere in the
-// batch fails the whole attempt (the batch rides one launch sequence).
-// On a pristine executor, Outputs[i] is bit-identical to Do(xs[i]).
-// It is DoBatchCtx without a request context.
-func (ex *Executor) DoBatch(xs []*tensor.Tensor, runIndex int) (*BatchResult, error) {
-	return ex.DoBatchCtx(nil, xs, runIndex)
-}
-
-// DoBatchDeadline is DoBatch under a per-request deadline (clamped with
-// the configured DeadlineSec): a batch whose deadline expires before
-// any tier has served is abandoned with a wrapped ErrDeadlineExceeded
-// instead of paying the per-image FP32 reference passes. It is a
-// compatibility wrapper over DoBatchCtx.
-func (ex *Executor) DoBatchDeadline(xs []*tensor.Tensor, runIndex int, deadlineSec float64) (*BatchResult, error) {
-	return ex.DoBatchCtx(rtctx.WithBudget(deadlineSec), xs, runIndex)
-}
-
-// DoBatchCtx is the single budget-carrying batch path: the coalescing
+// DoBatchCtx serves one batched numeric request through the
+// degradation chain. A fault anywhere in the batch fails the whole
+// attempt (the batch rides one launch sequence). On a pristine executor,
+// Outputs[i] is bit-identical to DoCtx(nil, xs[i]). It is the coalescing
 // front-end's serving route, where the batch context carries the
 // tightest member deadline. The context's budget clamps through the
 // configured DeadlineSec; an aborting context additionally arms the
 // layer-boundary guard (core.InferBatchCtx), so a batch whose burned
 // latency plus remaining expected schedule proves it hopeless stops
 // mid-graph with a wrapped ErrDeadlineExceeded instead of finishing a
-// late answer or paying the FP32 tier.
+// late answer or paying the FP32 tier. A nil context means no budget.
 func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*BatchResult, error) {
-	return ex.doBatch(xs, runIndex, ex.effectiveDeadline(ctx.Budget()), ctx.Aborts())
-}
-
-func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float64, abort bool) (*BatchResult, error) {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("serve: DoBatch needs at least one input")
+		return nil, fmt.Errorf("serve: executor needs at least one input")
 	}
 	for i, x := range xs {
 		if x == nil {
-			return nil, fmt.Errorf("serve: DoBatch input %d is nil", i)
+			return nil, fmt.Errorf("serve: executor input %d is nil", i)
 		}
 	}
 	ex.count(func(s *Stats) { s.Requests++ })
+	deadlineSec, abort := ex.effectiveDeadline(ctx.Budget()), ctx.Aborts()
 	res := &Result{Tier: TierFP32, deadlineSec: deadlineSec}
 
 	// The normalized context the accelerated tiers dispatch through:
-	// armed only on the abort paths, so Do/DoBatch callers keep their
+	// armed only on the abort paths, so non-aborting callers keep their
 	// exact injector draw order and answer-late contract.
 	var cctx *rtctx.Request
 	if abort && deadlineSec > 0 {
@@ -97,19 +78,23 @@ func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float
 		if eng == nil || (tier == TierTuned && !tryTuned) {
 			continue
 		}
+		// A timing-only tier cannot serve a numeric request
+		// (configuration mismatch, not a device fault).
 		if !eng.Numeric {
 			continue
 		}
 		if ex.deadlineExceeded(res) {
 			break
 		}
+		// Memory-pressure admission: reserve the engine's per-thread
+		// footprint for the attempt window.
 		if alloc != nil {
 			if err := alloc.Alloc(eng.PerThreadMemBytes()); err != nil {
 				ex.count(func(s *Stats) { s.AllocRejects++ })
 				if tier == TierTuned {
 					ex.recordPrimary(false)
 				}
-				continue
+				continue // engine needs memory it cannot get: degrade
 			}
 		}
 		var outs [][]*tensor.Tensor
@@ -181,7 +166,9 @@ func batchResult(res *Result, outs [][]*tensor.Tensor) *BatchResult {
 	}
 }
 
-// tryTierBatch is tryTier with one batched inference per attempt, run
+// tryTierBatch makes up to MaxRetries+1 attempts on one engine,
+// accumulating latency (including failed attempts and backoff) into
+// res; each attempt is one timed pass plus one batched inference, run
 // under the normalized request context. The third result reports a
 // mid-graph budget abort: the layer-boundary guard proved the budget
 // unmeetable, so retrying (or degrading) cannot help. The aborted
@@ -228,26 +215,17 @@ type PoolBatchResult struct {
 	DeadlineMiss bool
 }
 
-// DoBatch serves one batch through the fleet. Each replica runs once and
-// answers with one batched inference; under quorum, majority voting then
-// happens per image over the batched outputs. With no injected faults
-// the per-image winners and outputs are bit-identical to serving each
-// image with Do. The supervisor folds one latency observation per
-// replica (one run happened) and one divergence vote per image. It is
-// DoBatchCtx without a request context.
-func (p *Pool) DoBatch(xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
-	return p.DoBatchCtx(nil, xs, runIndex)
-}
-
-// DoBatchDeadline is DoBatch under a simulated-seconds budget: a
-// compatibility wrapper over DoBatchCtx.
-func (p *Pool) DoBatchDeadline(xs []*tensor.Tensor, runIndex int, deadlineSec float64) (*PoolBatchResult, error) {
-	return p.DoBatchCtx(rtctx.WithBudget(deadlineSec), xs, runIndex)
-}
-
-// DoBatchCtx is the fleet's single budget-carrying batch path and the
-// serving route the network front-end's pool backend threads its batch
-// budget through (the deadlineflow analyzer enforces that choice).
+// DoBatchCtx serves one batch through the fleet. Each replica runs once
+// and answers with one batched inference; under quorum, majority voting
+// then happens per image over the batched outputs. With no injected
+// faults the per-image winners and outputs are bit-identical to serving
+// each image with DoCtx. The supervisor folds one latency observation
+// per replica (one run happened) and one divergence vote per image.
+//
+// It is the fleet's single budget-carrying path and the serving route
+// the network front-end's pool backend threads its batch budget through
+// (the deadlineflow analyzer enforces that choice). A nil context means
+// no budget.
 // Under round-robin dispatch the context arms core.InferBatchCtx's
 // layer-boundary guard on every replica attempt, so a hopeless batch
 // aborts mid-graph; when the latency burned by failed replica attempts
@@ -258,11 +236,11 @@ func (p *Pool) DoBatchDeadline(xs []*tensor.Tensor, runIndex int, deadlineSec fl
 // pool-backed front-ends report misses identically.
 func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("serve: pool DoBatch needs at least one input")
+		return nil, fmt.Errorf("serve: pool needs at least one input")
 	}
 	for i, x := range xs {
 		if x == nil {
-			return nil, fmt.Errorf("serve: pool DoBatch input %d is nil", i)
+			return nil, fmt.Errorf("serve: pool input %d is nil", i)
 		}
 	}
 	<-p.turn
@@ -302,8 +280,10 @@ func (p *Pool) batchBudgetExpired(burnedSec float64, ctx *rtctx.Request) error {
 		burnedSec, ctx.BudgetSec, ErrDeadlineExceeded)
 }
 
-// serveRRBatch dispatches the whole batch to the next active replica,
-// failing over like serveRR. The request context gates the terminal
+// serveRRBatch dispatches the whole batch to the next active replica in
+// rotation, failing over to each remaining active replica once (their
+// burned latency accumulates) and finally to the FP32 tier. The request
+// context gates the terminal
 // FP32 tier (an already-blown budget abandons the batch) and arms the
 // layer-boundary guard inside each replica's batched inference, so a
 // hopeless batch aborts mid-graph without trying further replicas —
@@ -373,6 +353,14 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 	return p.serveFP32Batch(xs, total)
 }
 
+// vote is one replica's answer for one image of a quorum request.
+type vote struct {
+	r    *replica
+	lat  float64
+	outs []*tensor.Tensor
+	arg  int
+}
+
 // bvote is one replica's answer to a batched quorum request.
 type bvote struct {
 	r       *replica
@@ -382,7 +370,12 @@ type bvote struct {
 }
 
 // serveQuorumBatch runs every active replica once over the batch, then
-// applies serveQuorum's majority rule image by image. The request
+// votes image by image on the argmax of the first output and serves the
+// lowest-slot member of the strict majority. An image's latency is the
+// majority-confirmation time: the second-smallest latency among the
+// majority (the moment a second replica corroborates the answer). With
+// no strict majority the FP32 reference serves the image, after the
+// slowest voter has answered. The request
 // context gates the whole-fleet-errored FP32 fallback; the per-image
 // no-majority fallback still runs (the majority images already paid for
 // their answers, abandoning the stragglers would discard served work).
@@ -472,11 +465,9 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		// Divergence signal, per image in slot order (each image of the
 		// batch is one quorum vote's worth of evidence).
 		var refArg = -1
-		var refOuts []*tensor.Tensor
 		if majArg < 0 && len(voters) > 0 {
 			outs, err := core.UnoptimizedInfer(p.fallback, x)
 			if err == nil && len(outs) > 0 {
-				refOuts = outs
 				refArg = argmax(outs[0])
 			}
 		}
@@ -496,9 +487,6 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			res, err := p.serveFP32(x, maxLat)
 			if err != nil {
 				return nil, err
-			}
-			if res.Outputs == nil && refOuts != nil {
-				res.Outputs = refOuts
 			}
 			res.Voters = len(voters)
 			br.Results[img] = res

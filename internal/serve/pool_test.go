@@ -47,7 +47,7 @@ func TestPoolZeroFaultBitIdentity(t *testing.T) {
 		engines := p.Engines()
 		for i := 0; i < 6; i++ {
 			x := inputs[i]
-			res, err := p.Do(x, i)
+			res, err := p.DoCtx(nil, x, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestPoolQuarantineRebuildReadmit(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ {
 		x := inputs[i%len(inputs)]
-		res, err := p.Do(x, i)
+		res, err := p.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestPoolDeterministicTranscript(t *testing.T) {
 			c.Canary = inputs[:4]
 		})
 		for i := 0; i < 20; i++ {
-			if _, err := p.Do(inputs[i%len(inputs)], i); err != nil {
+			if _, err := p.DoCtx(nil, inputs[i%len(inputs)], i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,7 +215,7 @@ func TestPoolDrainsToFP32WhenAllQuarantined(t *testing.T) {
 	sawFP32 := false
 	for i := 0; i < 16; i++ {
 		x := inputs[i%len(inputs)]
-		res, err := p.Do(x, i)
+		res, err := p.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestPoolRoundRobinWatchdog(t *testing.T) {
 		c.Canary = inputs[:2]
 	})
 	for i := 0; i < 36; i++ {
-		if _, err := p.Do(inputs[i%len(inputs)], i); err != nil {
+		if _, err := p.DoCtx(nil, inputs[i%len(inputs)], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,21 +264,6 @@ func TestPoolRoundRobinWatchdog(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no latency-watchdog signal in transcript:\n%s", strings.Join(p.Transcript(), "\n"))
-	}
-}
-
-// Timed-only requests (nil input) hedge without voting.
-func TestPoolTimedOnlyRequests(t *testing.T) {
-	p := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
-	res, err := p.Do(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs != nil || res.Fallback || res.Voters != 3 {
-		t.Fatalf("timed-only quorum result: %+v", res)
-	}
-	if res.LatencySec <= 0 {
-		t.Fatal("no latency modeled")
 	}
 }
 

@@ -73,7 +73,7 @@ func (r *Registry) Engine(model string) (*core.Engine, error) {
 }
 
 // ProxyEngine returns the numeric proxy engine for a model, building it
-// on first use. Numeric engines serve both timed and numeric requests.
+// on first use.
 func (r *Registry) ProxyEngine(model string) (*core.Engine, error) {
 	return r.engine("proxy/"+model, model, true)
 }

@@ -109,18 +109,18 @@ func TestRegistryExecutorServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Do(nil, 0)
+	// Numeric requests through the shared proxy engine.
+	e, _ := r.ProxyEngine("vgg16")
+	shape := e.Graph.InputShape
+	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
+	res, err := ex.DoCtx(nil, x, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Tier != TierTuned || res.LatencySec <= 0 {
 		t.Fatalf("pristine registry executor served %+v", res)
 	}
-	// A numeric request through the shared proxy engine.
-	e, _ := r.ProxyEngine("vgg16")
-	shape := e.Graph.InputShape
-	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
-	nres, err := ex.Do(x, 1)
+	nres, err := ex.DoCtx(nil, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestZeroRateBitIdentical(t *testing.T) {
 		ex := newExec(t, inj, nil)
 		for run := 0; run < 3; run++ {
 			x := inputs[run]
-			got, err := ex.Do(x, run)
+			got, err := ex.DoCtx(nil, x, run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 	inj := faults.Scenario("total", 1).New("nx")
 	ex := newExec(t, inj, nil)
 	for i, x := range inputs {
-		res, err := ex.Do(x, i)
+		res, err := ex.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatalf("request %d errored under total faults: %v", i, err)
 		}
@@ -145,6 +145,7 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 // attempt, so the injector and executor ledgers must reconcile exactly:
 // launch-fails == retries + terminal tier failures.
 func TestCountersAccountForEveryFault(t *testing.T) {
+	_, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "ledger", LaunchFailRate: 1}.New("nx")
 	ex := newExec(t, inj, func(c *serve.Config) {
 		c.BreakerThreshold = 3
@@ -152,7 +153,7 @@ func TestCountersAccountForEveryFault(t *testing.T) {
 	})
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := ex.Do(nil, i); err != nil {
+		if _, err := ex.DoCtx(nil, inputs[i%len(inputs)], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,6 +185,7 @@ func TestCountersAccountForEveryFault(t *testing.T) {
 // The breaker must trip after BreakerThreshold consecutive primary
 // failures, short-circuit for BreakerCooldown requests, then probe.
 func TestCircuitBreakerLifecycle(t *testing.T) {
+	_, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "brk", LaunchFailRate: 1}.New("nx")
 	ex := newExec(t, inj, func(c *serve.Config) {
 		c.BreakerThreshold = 2
@@ -192,7 +194,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	})
 	// Two failing requests trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := ex.Do(nil, i); err != nil {
+		if _, err := ex.DoCtx(nil, inputs[i], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +208,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	// launch faults are drawn for the tuned tier.
 	before := inj.Counters().Get(faults.KindLaunchFail)
 	for i := 0; i < 3; i++ {
-		if _, err := ex.Do(nil, 10+i); err != nil {
+		if _, err := ex.DoCtx(nil, inputs[2+i], 10+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +220,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	}
 	// Cooldown spent: the next request is a half-open probe that reaches
 	// the (still failing) engine and re-arms the cooldown.
-	if _, err := ex.Do(nil, 20); err != nil {
+	if _, err := ex.DoCtx(nil, inputs[5], 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := inj.Counters().Get(faults.KindLaunchFail); got == before {
@@ -245,7 +247,7 @@ func TestLowBatchTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func failingEngine(t *testing.T) *core.Engine {
 func TestDeadlineMissStillServes(t *testing.T) {
 	ex := newExec(t, nil, func(c *serve.Config) { c.DeadlineSec = 1e-9 })
 	_, _, _, inputs := fixture(t)
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestAllocPressureDegrades(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "mem", CapacityBytes: eng.PerThreadMemBytes() / 2}.New("nx")
 	ex := newExec(t, inj, nil)
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w*perWorker+i)%len(inputs)]
-				if _, err := ex.Do(x, w*perWorker+i); err != nil {
+				if _, err := ex.DoCtx(nil, x, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -348,7 +350,7 @@ func TestConcurrentRequests(t *testing.T) {
 // plus real attempt/fallback work — never deadline plus a full
 // exponential backoff ladder (issue bug fix).
 func TestBackoffClampedByDeadline(t *testing.T) {
-	_, g, dev, _ := fixture(t)
+	_, g, dev, inputs := fixture(t)
 	const deadline = 0.5e-3
 	mk := func(dl float64) *serve.Executor {
 		return newExec(t, faults.Plan{Seed: "clamp", LaunchFailRate: 1}.New("nx"),
@@ -359,7 +361,7 @@ func TestBackoffClampedByDeadline(t *testing.T) {
 			})
 	}
 	clamped := mk(deadline)
-	res, err := clamped.Do(nil, 0)
+	res, err := clamped.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +381,7 @@ func TestBackoffClampedByDeadline(t *testing.T) {
 	// Without a deadline the same fault sequence pays the full ladder,
 	// and the clamp counter must stay untouched.
 	free := mk(0)
-	res2, err := free.Do(nil, 0)
+	res2, err := free.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
